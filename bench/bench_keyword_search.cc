@@ -2,6 +2,12 @@
 // the repository grows (paper Sec. 4, "efficient search with privacy
 // guarantees").
 //
+// Two spec shapes: small depth-2 specs, whose prefix lattices are tiny, and
+// pawbench's tenant shape (depth 3, 5 modules per workflow,
+// composite_prob 0.4, 40 keywords), whose lattices reach thousands of
+// prefixes and often exceed the enumeration cap. Sizing such a lattice
+// before enumerating it is what keeps the tenant rows in milliseconds.
+//
 // Expected shape: index latency grows much more slowly than scan latency
 // with repository size; both return identical answers.
 
@@ -19,12 +25,26 @@ namespace {
 
 using namespace paw;
 
-std::unique_ptr<Repository> BuildRepo(int num_specs) {
-  auto repo = std::make_unique<Repository>();
-  Rng rng(2026);
+WorkloadParams SmallShape() {
   WorkloadParams params;
   params.depth = 2;
   params.modules_per_workflow = 5;
+  return params;
+}
+
+WorkloadParams TenantShape() {
+  WorkloadParams params;
+  params.depth = 3;
+  params.modules_per_workflow = 5;
+  params.composite_prob = 0.4;
+  params.vocabulary = 40;
+  return params;
+}
+
+std::unique_ptr<Repository> BuildRepo(int num_specs,
+                                      const WorkloadParams& params) {
+  auto repo = std::make_unique<Repository>();
+  Rng rng(2026);
   for (int i = 0; i < num_specs; ++i) {
     auto spec = GenerateSpec(params, &rng, "spec" + std::to_string(i));
     if (spec.ok()) {
@@ -34,15 +54,26 @@ std::unique_ptr<Repository> BuildRepo(int num_specs) {
   return repo;
 }
 
+std::unique_ptr<Repository> BuildRepo(int num_specs) {
+  return BuildRepo(num_specs, SmallShape());
+}
+
 void TableE4() {
   std::printf(
       "=== E4: keyword search, scan vs inverted index ===\n"
-      "%-8s %-12s %-12s %-9s %-10s\n",
-      "specs", "scan(ms)", "index(ms)", "speedup", "answers");
-  WorkloadParams params;
+      "%-8s %-8s %-12s %-12s %-9s %-10s\n",
+      "shape", "specs", "scan(ms)", "index(ms)", "speedup", "answers");
+  struct Row {
+    const char* shape;
+    WorkloadParams params;
+    int num_specs;
+  };
+  std::vector<Row> rows;
+  for (int n : {10, 50, 100, 500}) rows.push_back({"depth2", SmallShape(), n});
+  for (int n : {10, 50, 100}) rows.push_back({"tenant", TenantShape(), n});
   Rng qrng(7);
-  for (int num_specs : {10, 50, 100, 500}) {
-    auto repo = BuildRepo(num_specs);
+  for (const Row& row : rows) {
+    auto repo = BuildRepo(row.num_specs, row.params);
     InvertedIndex index;
     index.Build(*repo);
     TfIdfScorer scorer;
@@ -52,7 +83,7 @@ void TableE4() {
     // pruning matters).
     std::vector<std::vector<std::string>> queries;
     for (int q = 0; q < 10; ++q) {
-      queries.push_back(GenerateQuery(params, &qrng, 3));
+      queries.push_back(GenerateQuery(row.params, &qrng, 3));
     }
     KeywordSearchOptions scan_opts;
     scan_opts.use_index = false;
@@ -74,8 +105,8 @@ void TableE4() {
     }
     double index_ms = index_timer.ElapsedMillis();
 
-    std::printf("%-8d %-12.2f %-12.2f %-9.1f %zu/%zu\n", num_specs,
-                scan_ms, index_ms,
+    std::printf("%-8s %-8d %-12.2f %-12.2f %-9.1f %zu/%zu\n", row.shape,
+                row.num_specs, scan_ms, index_ms,
                 index_ms > 0 ? scan_ms / index_ms : 0.0, index_answers,
                 scan_answers);
   }
@@ -108,6 +139,20 @@ void BM_SearchIndexed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SearchIndexed)->Arg(10)->Arg(100)->Arg(500);
+
+void BM_SearchIndexedTenantShape(benchmark::State& state) {
+  auto repo = BuildRepo(static_cast<int>(state.range(0)), TenantShape());
+  auto index = std::make_unique<InvertedIndex>();
+  index->Build(*repo);
+  TfIdfScorer scorer;
+  scorer.Build(*index);
+  for (auto _ : state) {
+    auto a = KeywordSearch(*repo, index.get(), &scorer, {"kw0", "kw1"},
+                           3, {});
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_SearchIndexedTenantShape)->Arg(24)->Arg(100);
 
 void BM_IndexBuild(benchmark::State& state) {
   auto repo = BuildRepo(static_cast<int>(state.range(0)));

@@ -58,6 +58,26 @@ std::vector<std::string> Tokenize(std::string_view s) {
   return out;
 }
 
+bool HasToken(std::string_view text, std::string_view token) {
+  auto is_word = [](char ch) {
+    return std::isalnum(static_cast<unsigned char>(ch)) != 0;
+  };
+  size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() && !is_word(text[i])) ++i;
+    const size_t start = i;
+    while (i < text.size() && is_word(text[i])) ++i;
+    if (i == start || i - start != token.size()) continue;
+    bool equal = true;
+    for (size_t k = 0; k < token.size() && equal; ++k) {
+      equal = std::tolower(static_cast<unsigned char>(text[start + k])) ==
+              static_cast<unsigned char>(token[k]);
+    }
+    if (equal) return true;
+  }
+  return false;
+}
+
 bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle) {
   if (needle.empty()) return true;
   std::string h = ToLowerAscii(haystack);

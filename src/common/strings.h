@@ -29,6 +29,10 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 /// {"query", "omim"}). This is the tokenization used by the keyword index.
 std::vector<std::string> Tokenize(std::string_view s);
 
+/// \brief True iff `token` is one of the tokens `Tokenize(text)` returns,
+/// found without materializing them.
+bool HasToken(std::string_view text, std::string_view token);
+
 /// \brief True iff `haystack` contains `needle` case-insensitively.
 bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle);
 

@@ -50,7 +50,15 @@ struct KeywordSearchOptions {
 };
 
 /// \brief All minimal covering prefixes of one specification at one
-/// access level (exhaustive over the prefix lattice).
+/// access level, smallest first.
+///
+/// Exhaustive over the prefix lattice for hierarchies of at most 20
+/// workflows and `max_enumerated` prefixes; otherwise the single greedy
+/// cover (`GreedyCoveringPrefix`). The lattice is sized in O(workflows)
+/// before anything is enumerated. The walk works on workflow bitmasks and
+/// visits only the workflows holding a covering module and their
+/// ancestors. Coverage comes from per-term lists of covering modules, each
+/// module matched once per term; no view is built.
 Result<std::vector<Prefix>> MinimalCoveringPrefixes(
     const Specification& spec, const ExpansionHierarchy& hierarchy,
     const std::vector<std::string>& terms, AccessLevel level,
@@ -58,6 +66,8 @@ Result<std::vector<Prefix>> MinimalCoveringPrefixes(
 
 /// \brief Greedy cover fallback for large hierarchies: expand, for each
 /// uncovered term, the shallowest admissible workflow containing a match.
+/// Like the exhaustive search it checks coverage against per-term lists of
+/// covering modules and builds no view.
 Result<Prefix> GreedyCoveringPrefix(const Specification& spec,
                                     const ExpansionHierarchy& hierarchy,
                                     const std::vector<std::string>& terms,
@@ -65,6 +75,8 @@ Result<Prefix> GreedyCoveringPrefix(const Specification& spec,
 
 /// \brief Search over a pinned view: prune specs via `index` (if given),
 /// compute minimal views, rank with TF-IDF (ties: smaller views first).
+/// An answer's matched modules and view size come from the prefix's
+/// visible modules (`VisibleModules`); no view graph is built.
 /// The index must cover at least the view's cut; candidates beyond the
 /// cut are skipped, so an index slightly ahead of the view is safe.
 Result<std::vector<KeywordAnswer>> KeywordSearch(
@@ -79,8 +91,8 @@ Result<std::vector<KeywordAnswer>> KeywordSearch(
     const TfIdfScorer* scorer, const std::vector<std::string>& terms,
     AccessLevel level, const KeywordSearchOptions& options = {});
 
-/// \brief The modules of `view` that cover `term` (helper shared with the
-/// engine and tests).
+/// \brief The modules of `view` that cover `term` (helper shared with
+/// pawctl and tests).
 std::vector<ModuleId> MatchingModules(const Specification& spec,
                                       const SpecView& view,
                                       const std::string& term);

@@ -120,6 +120,29 @@ Result<std::vector<Prefix>> ExpansionHierarchy::EnumeratePrefixes(
   return out;
 }
 
+uint64_t ExpansionHierarchy::CountPrefixes(uint64_t cap) const {
+  // Top-down order, so that reversed it visits children before parents.
+  std::vector<WorkflowId> order{root_};
+  for (size_t i = 0; i < order.size(); ++i) {
+    for (WorkflowId c : Children(order[i])) order.push_back(c);
+  }
+  std::vector<uint64_t> count(parent_.size(), 1);
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    uint64_t n = 1;
+    for (WorkflowId c : Children(*it)) {
+      uint64_t sub = count[static_cast<size_t>(c.value())];
+      // n * (1 + sub) with both factors bounded, saturating at `cap`.
+      if (sub >= cap || n > cap / (sub + 1)) {
+        n = cap;
+        break;
+      }
+      n *= sub + 1;
+    }
+    count[static_cast<size_t>(it->value())] = std::min(n, cap);
+  }
+  return count[static_cast<size_t>(root_.value())];
+}
+
 Prefix ExpansionHierarchy::AccessPrefix(const Specification& spec,
                                         AccessLevel level) const {
   // Walk the tree top-down; stop descending at workflows above `level`.

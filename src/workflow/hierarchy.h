@@ -10,6 +10,8 @@
 /// prefix are expanded, everything below stays collapsed inside composite
 /// modules. Access views (paper Sec. 2) are level-maximal prefixes.
 
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -67,6 +69,15 @@ class ExpansionHierarchy {
   /// FailedPrecondition when the hierarchy has more than `max_workflows`
   /// nodes.
   Result<std::vector<Prefix>> EnumeratePrefixes(int max_workflows = 20) const;
+
+  /// \brief The number of valid prefixes, i.e. `EnumeratePrefixes().size()`,
+  /// saturated at `cap`.
+  ///
+  /// O(size()) without enumerating anything: the prefixes containing a
+  /// workflow number the product over its children of (1 + the child's
+  /// count). Lets callers size the lattice before paying for it.
+  uint64_t CountPrefixes(
+      uint64_t cap = std::numeric_limits<uint64_t>::max()) const;
 
   /// \brief The maximal prefix all of whose workflows have
   /// `required_level <= level`: the access view of a principal (Sec. 2).

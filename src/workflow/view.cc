@@ -75,6 +75,19 @@ class Flattener {
   const Prefix& prefix_;
 };
 
+/// The Flattener's visiting order without the boundaries and edges.
+void CollectVisible(const Specification& spec, const Prefix& prefix,
+                    WorkflowId w, std::vector<ModuleId>* out) {
+  for (ModuleId mid : spec.workflow(w).modules) {
+    const Module& m = spec.module(mid);
+    if (m.kind == ModuleKind::kComposite && prefix.count(m.expansion)) {
+      CollectVisible(spec, prefix, m.expansion, out);
+    } else {
+      out->push_back(mid);
+    }
+  }
+}
+
 void CollectAtomics(const Specification& spec, WorkflowId w,
                     std::vector<ModuleId>* out) {
   for (ModuleId mid : spec.workflow(w).modules) {
@@ -168,6 +181,13 @@ Result<SpecView> ExpandPrefix(const Specification& spec,
     view.edge_labels_[{u, v}] = labels;
   }
   return view;
+}
+
+std::vector<ModuleId> VisibleModules(const Specification& spec,
+                                     const Prefix& prefix) {
+  std::vector<ModuleId> out;
+  CollectVisible(spec, prefix, spec.root(), &out);
+  return out;
 }
 
 Result<SpecView> FullExpansion(const Specification& spec,

@@ -86,6 +86,12 @@ Result<SpecView> ExpandPrefix(const Specification& spec,
                               const ExpansionHierarchy& hierarchy,
                               const Prefix& prefix);
 
+/// \brief The visible modules of `ExpandPrefix(spec, hierarchy, prefix)`
+/// in the same order, without building the view's graph. `prefix` must be
+/// valid.
+std::vector<ModuleId> VisibleModules(const Specification& spec,
+                                     const Prefix& prefix);
+
 /// \brief Convenience: the fully expanded view.
 Result<SpecView> FullExpansion(const Specification& spec,
                                const ExpansionHierarchy& hierarchy);

@@ -215,7 +215,9 @@ void RunRepeatedCompactAsyncStress(PayloadCodec codec,
                     .ok());
     // Keep cutting mid-stream; most calls overlap a running worker and
     // are no-ops — exactly the production cadence.
-    if (i % 13 == 0) ASSERT_TRUE(store.value().CompactAsync().ok());
+    if (i % 13 == 0) {
+      ASSERT_TRUE(store.value().CompactAsync().ok());
+    }
   }
   ASSERT_TRUE(store.value().WaitForCompaction().ok());
   ASSERT_TRUE(store.value().Compact().ok());  // final fold, everything covered

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
+#include "src/common/random.h"
 #include "src/repo/disease.h"
+#include "src/repo/workload.h"
 #include "src/workflow/builder.h"
 
 namespace paw {
@@ -80,6 +85,14 @@ TEST_F(HierarchyTest, EnumeratePrefixesOfPaperExample) {
   EXPECT_EQ(prefixes.value().back(), h_.FullPrefix());
 }
 
+TEST_F(HierarchyTest, CountPrefixesOfPaperExample) {
+  EXPECT_EQ(h_.CountPrefixes(), 6u);
+  // Saturates at the cap.
+  EXPECT_EQ(h_.CountPrefixes(6), 6u);
+  EXPECT_EQ(h_.CountPrefixes(5), 5u);
+  EXPECT_EQ(h_.CountPrefixes(1), 1u);
+}
+
 TEST_F(HierarchyTest, AccessPrefixRespectsLevels) {
   // Disease spec levels: W1=0, W2=1, W3=1, W4=2.
   EXPECT_EQ(h_.AccessPrefix(spec_, 0), (Prefix{W("W1")}));
@@ -103,6 +116,60 @@ TEST(HierarchySingleTest, SingleWorkflow) {
   auto prefixes = h.EnumeratePrefixes();
   ASSERT_TRUE(prefixes.ok());
   EXPECT_EQ(prefixes.value().size(), 1u);
+}
+
+TEST(HierarchyCountTest, CountMatchesEnumerationOnGeneratedSpecs) {
+  WorkloadParams params;
+  params.composite_prob = 0.4;
+  Rng rng(2011);
+  int checked = 0;
+  for (int depth = 1; depth <= 3; ++depth) {
+    params.depth = depth;
+    for (int i = 0; i < 12; ++i) {
+      auto spec = GenerateSpec(params, &rng, "gen");
+      ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+      ExpansionHierarchy h = ExpansionHierarchy::Build(spec.value());
+      if (h.size() > 16) continue;  // keep the enumeration cheap
+      auto prefixes = h.EnumeratePrefixes();
+      ASSERT_TRUE(prefixes.ok());
+      const uint64_t n = prefixes.value().size();
+      EXPECT_EQ(h.CountPrefixes(), n) << "workflows " << h.size();
+      EXPECT_EQ(h.CountPrefixes(n), n);
+      EXPECT_EQ(h.CountPrefixes(n - 1), n - 1);
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 20);
+}
+
+TEST(HierarchyCountTest, WideTreeSaturatesInsteadOfOverflowing) {
+  // A root with 100 composite children, each expanding to a workflow with
+  // one composite child of its own: 3^100 prefixes, far past uint64_t.
+  SpecBuilder b("wide");
+  WorkflowId root = b.AddWorkflow("W0", "top");
+  ModuleId in = b.AddInput(root);
+  ModuleId prev = in;
+  for (int i = 0; i < 100; ++i) {
+    std::string n = std::to_string(i);
+    ModuleId m = b.AddModule(root, "C" + n, "composite " + n, {});
+    ASSERT_TRUE(b.Connect(prev, m, {"d" + n}).ok());
+    prev = m;
+    WorkflowId mid = b.AddWorkflow("A" + n, "middle " + n);
+    ASSERT_TRUE(b.MakeComposite(m, mid).ok());
+    ModuleId inner = b.AddModule(mid, "D" + n, "inner " + n, {});
+    WorkflowId leaf = b.AddWorkflow("B" + n, "leaf " + n);
+    ASSERT_TRUE(b.MakeComposite(inner, leaf).ok());
+    b.AddModule(leaf, "E" + n, "atomic " + n, {});
+  }
+  ModuleId out = b.AddOutput(root);
+  ASSERT_TRUE(b.Connect(prev, out, {"out"}).ok());
+  auto spec = std::move(b).Build();
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  ExpansionHierarchy h = ExpansionHierarchy::Build(spec.value());
+  ASSERT_EQ(h.size(), 201);
+  EXPECT_EQ(h.CountPrefixes(), std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(h.CountPrefixes(4097), 4097u);
+  EXPECT_FALSE(h.EnumeratePrefixes().ok());
 }
 
 }  // namespace

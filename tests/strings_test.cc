@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace paw {
 namespace {
 
@@ -40,6 +42,28 @@ TEST(StringsTest, TokenizeSplitsOnNonAlnum) {
   EXPECT_EQ(Tokenize("Query-OMIM (v2)"),
             (std::vector<std::string>{"query", "omim", "v2"}));
   EXPECT_TRUE(Tokenize("---").empty());
+}
+
+TEST(StringsTest, HasTokenAgreesWithTokenize) {
+  EXPECT_TRUE(HasToken("Query-OMIM (v2)", "omim"));
+  EXPECT_TRUE(HasToken("Query-OMIM (v2)", "v2"));
+  EXPECT_FALSE(HasToken("Query-OMIM (v2)", "om"));     // no partial tokens
+  EXPECT_FALSE(HasToken("Query-OMIM (v2)", "query-"));  // tokens are alnum
+  EXPECT_FALSE(HasToken("---", "x"));
+  // Membership in Tokenize's output, over every token of a few texts and
+  // some that are not tokens of them.
+  for (const char* text : {"Step M12", "kw3", "  Find SNPs, then expand ",
+                           "a1b2 A1B2 c"}) {
+    for (const std::string& t : Tokenize(text)) {
+      EXPECT_TRUE(HasToken(text, t)) << text << " / " << t;
+    }
+    for (const char* other : {"step", "m1", "snp", "expand", "c", "zz"}) {
+      const std::vector<std::string> tokens = Tokenize(text);
+      const bool want =
+          std::find(tokens.begin(), tokens.end(), other) != tokens.end();
+      EXPECT_EQ(HasToken(text, other), want) << text << " / " << other;
+    }
+  }
 }
 
 TEST(StringsTest, ContainsIgnoreCase) {

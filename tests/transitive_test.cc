@@ -74,7 +74,9 @@ TEST(TransitiveTest, ClosureMatchesBfsOnRandomDags) {
     Digraph g(n);
     for (int i = 0; i < n; ++i) {
       for (int j = i + 1; j < n; ++j) {
-        if (rng.Bernoulli(0.15)) ASSERT_TRUE(g.AddEdge(i, j).ok());
+        if (rng.Bernoulli(0.15)) {
+          ASSERT_TRUE(g.AddEdge(i, j).ok());
+        }
       }
     }
     TransitiveClosure tc = TransitiveClosure::Compute(g);
@@ -102,7 +104,9 @@ TEST(TransitiveTest, ReductionPreservesClosure) {
   Digraph g(15);
   for (int i = 0; i < 15; ++i) {
     for (int j = i + 1; j < 15; ++j) {
-      if (rng.Bernoulli(0.3)) ASSERT_TRUE(g.AddEdge(i, j).ok());
+      if (rng.Bernoulli(0.3)) {
+        ASSERT_TRUE(g.AddEdge(i, j).ok());
+      }
     }
   }
   auto red = TransitiveReduction(g);

@@ -7,8 +7,10 @@
 
 #include <algorithm>
 
+#include "src/common/random.h"
 #include "src/graph/algorithms.h"
 #include "src/repo/disease.h"
+#include "src/repo/workload.h"
 
 namespace paw {
 namespace {
@@ -172,6 +174,42 @@ TEST_F(ViewTest, DotRenderingMentionsModules) {
   EXPECT_NE(dot.find("digraph w1_view"), std::string::npos);
   EXPECT_NE(dot.find("M1"), std::string::npos);
   EXPECT_NE(dot.find("disorders"), std::string::npos);
+}
+
+TEST_F(ViewTest, VisibleModulesMatchExpandedViews) {
+  auto prefixes = h_.EnumeratePrefixes();
+  ASSERT_TRUE(prefixes.ok());
+  for (const Prefix& p : prefixes.value()) {
+    auto view = ExpandPrefix(spec_, h_, p);
+    ASSERT_TRUE(view.ok());
+    EXPECT_EQ(VisibleModules(spec_, p), view.value().visible_modules());
+  }
+}
+
+TEST(VisibleModulesTest, MatchExpandedViewsOnGeneratedSpecs) {
+  WorkloadParams params;
+  params.composite_prob = 0.4;
+  Rng rng(5);
+  int checked = 0;
+  for (int depth = 1; depth <= 3; ++depth) {
+    params.depth = depth;
+    for (int i = 0; i < 6; ++i) {
+      auto spec = GenerateSpec(params, &rng, "gen");
+      ASSERT_TRUE(spec.ok());
+      ExpansionHierarchy h = ExpansionHierarchy::Build(spec.value());
+      if (h.CountPrefixes(512) >= 512) continue;  // keep the walk cheap
+      auto prefixes = h.EnumeratePrefixes();
+      ASSERT_TRUE(prefixes.ok());
+      for (const Prefix& p : prefixes.value()) {
+        auto view = ExpandPrefix(spec.value(), h, p);
+        ASSERT_TRUE(view.ok());
+        EXPECT_EQ(VisibleModules(spec.value(), p),
+                  view.value().visible_modules());
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 100);
 }
 
 }  // namespace

@@ -16,7 +16,9 @@
 # E11/E12/E13/E14, E11 gated <= 5% observability overhead against a
 # PAW_NO_METRICS + PAW_NO_TRACE baseline build, E13 gated >= 3x cached
 # lineage/structural p50),
-# an ASan+UBSan build of the store/server test binaries, and a TSan
+# an ASan+UBSan build of the store/server test binaries (plus the
+# keyword-search and hierarchy tests, whose bitmask code shifts by
+# workflow id), and a TSan
 # build of the concurrency suites (group-commit WAL, writer queues,
 # background compaction, server, replication, metrics registry).
 set -euo pipefail
@@ -424,7 +426,8 @@ SAN_TESTS=(store_test sharded_store_test crash_injection_test record_test
            thread_pool_test crc32_test codec_v2_test wal_group_commit_test
            mixed_version_test background_compaction_test wire_test
            server_test replication_test store_lock_test metrics_test
-           trace_test view_cache_test dp_counters_test)
+           trace_test view_cache_test dp_counters_test
+           keyword_search_test hierarchy_test)
 cmake --build "$ASAN_BUILD_DIR" -j "$JOBS" --target "${SAN_TESTS[@]}"
 for t in "${SAN_TESTS[@]}"; do
   echo "-- $t (asan+ubsan)"
